@@ -362,7 +362,7 @@ let interconnect () =
         let cl = Cluster.pack plan ~arch in
         let local = Nanomap_cluster.Smb_local.analyze cl plan in
         let place = Place.place ~effort:`Fast cl in
-        let r, _ = Router.route_adaptive place cl plan in
+        let r, _ = Router.route_adaptive place cl in
         let configs = max plan.Mapper.configs_used 1 in
         let globals = List.assoc "global" r.Router.usage_by_kind in
         let per_config = float_of_int globals /. float_of_int configs in
@@ -471,7 +471,7 @@ let ablation_place () =
       let joint = Place.place ~effort:`Fast ~joint:true cl in
       let single = Place.place ~effort:`Fast ~joint:false cl in
       let wl placement =
-        let r, _ = Router.route_adaptive placement cl plan in
+        let r, _ = Router.route_adaptive placement cl in
         r.Router.wirelength
       in
       Ascii_table.add_row t
@@ -604,7 +604,7 @@ let energy () =
       let eval label plan =
         let cl = Cluster.pack plan ~arch in
         let place = Place.place ~effort:`Fast cl in
-        let r, _ = Router.route_adaptive place cl plan in
+        let r, _ = Router.route_adaptive place cl in
         let energy =
           Arch.energy_per_computation_pj arch ~luts_evaluated:p.Mapper.total_luts
             ~les:cl.Cluster.les_used ~stages:plan.Mapper.stages

@@ -104,15 +104,15 @@ let width_caps (a : Arch.t) w =
     len4_tracks = scale a.Arch.chan_len4;
     global_tracks = scale a.Arch.chan_global }
 
-let routable_at ?(defects = Defect.none) ~cluster ~plan pl w =
+let routable_at ?(defects = Defect.none) ~cluster pl w =
   let caps = width_caps cluster.Cluster.arch w in
-  match Router.route ~caps ~defects pl cluster plan with
+  match Router.route ~caps ~defects pl cluster with
   | r -> r.Router.success
   | exception Diag.Fail _ -> false
 
 let min_channel_width ?(max_width = 64) ?(defects = Defect.none) ~cluster
-    ~plan pl =
-  let routable w = routable_at ~defects ~cluster ~plan pl w in
+    ~plan:_ pl =
+  let routable w = routable_at ~defects ~cluster pl w in
   if not (routable max_width) then
     Error
       (Diag.make ~stage:"explore" ~code:"unroutable-at-max"

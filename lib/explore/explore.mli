@@ -75,7 +75,6 @@ val width_caps : Arch.t -> int -> Nanomap_route.Rr_graph.caps
 val routable_at :
   ?defects:Nanomap_arch.Defect.t ->
   cluster:Nanomap_cluster.Cluster.t ->
-  plan:Nanomap_core.Mapper.plan ->
   Nanomap_place.Place.t ->
   int ->
   bool
@@ -92,7 +91,8 @@ val min_channel_width :
 (** Binary search (on the monotone routability predicate {!routable_at})
     for the least channel width in [1 .. max_width] (default 64) that
     routes. [Error] carries stage ["explore"], code ["unroutable-at-max"]
-    when even [max_width] fails. *)
+    when even [max_width] fails. Routing reads no plan: [plan] is ignored
+    and stays only so existing callers keep compiling. *)
 
 (** {2 Sweeping} *)
 

@@ -8,6 +8,7 @@ module Place = Nanomap_place.Place
 module Sat_place = Nanomap_place.Sat_place
 module Router = Nanomap_route.Router
 module Rr_graph = Nanomap_route.Rr_graph
+module Timing = Nanomap_route.Timing
 module Bitstream = Nanomap_bitstream.Bitstream
 module Telemetry = Nanomap_util.Telemetry
 module Diag = Nanomap_util.Diag
@@ -237,12 +238,7 @@ let run_result ?cancel ?(options = default_options) ?(arch = Arch.default)
       let placement, routing, channel_factor, delay_routed_ns, bitstream =
         match physical_part with
         | None -> (None, None, 1, None, None)
-        | Some (placement, routing, channel_factor, bitstream) ->
-          let delay_routed_ns =
-            float_of_int
-              (prepared.Mapper.num_planes * plan.Mapper.stages)
-            *. routing.Router.folding_period_ns
-          in
+        | Some (placement, routing, channel_factor, delay_routed_ns, bitstream) ->
           ( Some placement,
             Some routing,
             channel_factor,
@@ -358,11 +354,16 @@ let run_result ?cancel ?(options = default_options) ?(arch = Arch.default)
           protect "route" (fun () ->
               Telemetry.span tele "route" (fun () ->
                   Router.route_adaptive ~caps ~defects:options.defects
-                    ~alg:options.route_alg placement cluster plan))
+                    ~alg:options.route_alg placement cluster))
         in
-        let* () =
+        let* delay_routed_ns =
           if routing.Router.success then
-            protect "route" (fun () -> Router.validate routing)
+            protect "route" (fun () ->
+                Router.validate routing;
+                let delay = Timing.routed_delay_ns routing cluster plan in
+                Telemetry.set_gauge tele "timing.routed_over_model"
+                  (delay /. plan.Mapper.delay_ns);
+                delay)
           else
             Error
               (journal
@@ -383,7 +384,7 @@ let run_result ?cancel ?(options = default_options) ?(arch = Arch.default)
                   Bitstream.generate plan cluster routing))
         in
         let* () = checked (Check.bitstream level ~arch bitstream) in
-        Ok (placement, routing, channel_factor, bitstream)
+        Ok (placement, routing, channel_factor, delay_routed_ns, bitstream)
       in
       (* Bounded graceful degradation: a failed physical attempt retries
          with a fresh seed, then a widened fabric, then progressively lower
@@ -497,8 +498,6 @@ let validate_report ?(level = Check.Full) ?(defects = Defect.none) r =
   match r.bitstream with
   | None -> Ok ()
   | Some bs -> Check.bitstream level ~arch bs
-
-let circuit_delay_routed report = report.delay_routed_ns
 
 let pp_report fmt r =
   Format.fprintf fmt

@@ -107,8 +107,8 @@ type report = {
   routing : Nanomap_route.Router.result option;
   channel_factor : int;               (** track-count multiplier the router
                                           needed (1 = base fabric) *)
-  delay_routed_ns : float option;     (** circuit delay with the routed
-                                          folding-clock period *)
+  delay_routed_ns : float option;     (** {!Nanomap_route.Timing.routed_delay_ns}
+                                          of the accepted routing *)
   bitstream : Nanomap_bitstream.Bitstream.t option;
   mapping_retries : int;              (** area-loop iterations taken *)
   degradations : string list;         (** graceful-degradation steps taken,
@@ -154,9 +154,6 @@ val validate_report :
 (** Re-run every applicable inter-stage checker on a finished report
     ([Full] by default) — the property tests' oracle that an [Ok] report is
     internally consistent. *)
-
-val circuit_delay_routed : report -> float option
-(** [num_planes * stages * routed folding period], when routed. *)
 
 val set_stage_hook : (stage:string -> design:string -> unit) option -> unit
 (** Test-only chaos instrumentation: install a hook invoked at every

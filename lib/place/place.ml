@@ -3,9 +3,6 @@ module Diag = Nanomap_util.Diag
 module Arch = Nanomap_arch.Arch
 module Defect = Nanomap_arch.Defect
 module Cluster = Nanomap_cluster.Cluster
-module Mapper = Nanomap_core.Mapper
-module Partition = Nanomap_techmap.Partition
-module Lut_network = Nanomap_techmap.Lut_network
 module Telemetry = Nanomap_util.Telemetry
 
 let c_moves_tried = Telemetry.counter "place.moves_tried"
@@ -381,65 +378,6 @@ let routability t (cl : Cluster.t) =
   (* normalize by nominal per-cell capacity: half the length-1 tracks of
      one channel (each cell borders two channels per direction) *)
   !max_util /. (float_of_int cl.Cluster.arch.Arch.chan_len1 /. 2.0)
-
-let wire_delay (arch : Arch.t) dist =
-  if dist <= 0 then arch.Arch.t_local
-  else if dist = 1 then arch.Arch.t_direct
-  else if dist <= 4 then arch.Arch.t_len1 +. (0.02 *. float_of_int dist)
-  else if dist <= 8 then arch.Arch.t_len4 +. (0.02 *. float_of_int dist)
-  else arch.Arch.t_global
-
-let timing_estimate t (cl : Cluster.t) (plan : Mapper.plan) =
-  let arch = cl.Cluster.arch in
-  let dist (x1, y1) (x2, y2) = abs (x1 - x2) + abs (y1 - y2) in
-  let worst = ref 0.0 in
-  Array.iter
-    (fun (pl : Mapper.plane_plan) ->
-      let plane = pl.Mapper.plane_index in
-      let network = pl.Mapper.network in
-      let part = pl.Mapper.partition in
-      let arrival = Array.make (Lut_network.size network) 0.0 in
-      Lut_network.iter
-        (fun l -> function
-          | Lut_network.Input _ -> ()
-          | Lut_network.Lut { fanins; _ } ->
-            let u = part.Partition.unit_of_lut.(l) in
-            let c = pl.Mapper.schedule.(u) in
-            let my_xy = t.smb_xy.((Hashtbl.find cl.Cluster.lut_slots (plane, l)).Cluster.smb) in
-            let input_arrival f =
-              match Lut_network.node network f with
-              | Lut_network.Lut _ ->
-                let fu = part.Partition.unit_of_lut.(f) in
-                if pl.Mapper.schedule.(fu) = c then begin
-                  let fxy =
-                    t.smb_xy.((Hashtbl.find cl.Cluster.lut_slots (plane, f)).Cluster.smb)
-                  in
-                  arrival.(f) +. wire_delay arch (dist fxy my_xy)
-                end
-                else begin
-                  (* from the stored copy's flip-flop *)
-                  match Hashtbl.find_opt cl.Cluster.ff_slots (Cluster.V_lut (plane, f)) with
-                  | Some (slot, _) ->
-                    wire_delay arch (dist t.smb_xy.(slot.Cluster.smb) my_xy)
-                  | None -> arch.Arch.t_local
-                end
-              | Lut_network.Input (Lut_network.Register_bit (r, b))
-              | Lut_network.Input (Lut_network.Wire_bit (r, b)) ->
-                (match Hashtbl.find_opt cl.Cluster.ff_slots (Cluster.V_state (r, b)) with
-                 | Some (slot, _) ->
-                   wire_delay arch (dist t.smb_xy.(slot.Cluster.smb) my_xy)
-                 | None -> arch.Arch.t_local)
-              | Lut_network.Input (Lut_network.Pi_bit _) -> arch.Arch.t_global
-              | Lut_network.Input (Lut_network.Const_bit _) -> 0.0
-            in
-            let worst_in =
-              Array.fold_left (fun acc f -> Float.max acc (input_arrival f)) 0.0 fanins
-            in
-            arrival.(l) <- worst_in +. arch.Arch.t_lut;
-            if arrival.(l) > !worst then worst := arrival.(l))
-        network)
-    plan.Mapper.planes;
-  !worst +. arch.Arch.t_reconf +. arch.Arch.t_setup
 
 let validate t (cl : Cluster.t) =
   let seen = Hashtbl.create 64 in

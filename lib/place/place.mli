@@ -12,8 +12,8 @@
     ablation knob for that design choice.
 
     The flow runs {!place} twice, mirroring Fig. 2: a [`Fast] low-precision
-    pass whose result is screened by {!routability} and
-    {!timing_estimate}, then a [`Detailed] pass. *)
+    pass whose result is screened by {!routability}, then a [`Detailed]
+    pass seeded with it. Timing is judged after routing, not here. *)
 
 type t = {
   width : int;
@@ -99,15 +99,6 @@ val routability : t -> Nanomap_cluster.Cluster.t -> float
     (demand / supply) given per-net bounding boxes, in [0, inf); values
     under ~1 predict routable. The folding cycles are independent
     configurations, so the estimate is the max over cycles. *)
-
-val timing_estimate :
-  t ->
-  Nanomap_cluster.Cluster.t ->
-  Nanomap_core.Mapper.plan ->
-  float
-(** Pre-route estimate of the folding-clock period (ns): longest
-    LUT-chain path within any folding cycle, with net delays taken from
-    bounding-box Manhattan distances. *)
 
 val validate : t -> Nanomap_cluster.Cluster.t -> unit
 (** No two SMBs on one site, all coordinates on the grid, pads on the

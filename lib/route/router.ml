@@ -1,11 +1,7 @@
-module Arch = Nanomap_arch.Arch
 module Defect = Nanomap_arch.Defect
 module Diag = Nanomap_util.Diag
 module Cluster = Nanomap_cluster.Cluster
 module Place = Nanomap_place.Place
-module Mapper = Nanomap_core.Mapper
-module Partition = Nanomap_techmap.Partition
-module Lut_network = Nanomap_techmap.Lut_network
 module Telemetry = Nanomap_util.Telemetry
 module Min_heap = Nanomap_util.Min_heap
 
@@ -21,7 +17,6 @@ type algorithm = Full | Incremental
 type routed_net = {
   net : Cluster.net;
   tree : int list;
-  sink_delays : (Cluster.endpoint * float) list;
 }
 
 type result = {
@@ -34,7 +29,6 @@ type result = {
   nets_using_global : int;
   total_nets : int;
   wirelength : int;
-  folding_period_ns : float;
 }
 
 (* Wavefront scratch (distances and backpointers) over flat arrays indexed
@@ -95,20 +89,10 @@ let ep_string = function
   | Cluster.At_pad p -> "pad:" ^ string_of_int p
 
 let route ?(caps = Rr_graph.default_caps) ?(defects = Defect.none)
-    ?(max_iterations = 12) ?(alg = Incremental) (pl : Place.t) (cl : Cluster.t)
-    (plan : Mapper.plan) =
-  let arch = cl.Cluster.arch in
-  let g = Rr_graph.build ~caps ~defects ~arch pl in
+    ?(max_iterations = 12) ?(alg = Incremental) (pl : Place.t) (cl : Cluster.t) =
+  let g = Rr_graph.build ~caps ~defects ~arch:cl.Cluster.arch pl in
   let n = g.Rr_graph.num_nodes in
   let astar = alg = Incremental in
-  let node_of_src = function
-    | Cluster.At_smb s -> g.Rr_graph.src_of_smb.(s)
-    | Cluster.At_pad p -> g.Rr_graph.src_of_pad.(p)
-  in
-  let node_of_sink = function
-    | Cluster.At_smb s -> g.Rr_graph.sink_of_smb.(s)
-    | Cluster.At_pad p -> g.Rr_graph.sink_of_pad.(p)
-  in
   let slots = group_by_slot cl.Cluster.nets in
   (* scratch state reused across nets and timeslots *)
   let usage = Array.make n 0 in
@@ -149,7 +133,7 @@ let route ?(caps = Rr_graph.default_caps) ?(defects = Defect.none)
       let route_one (net : Cluster.net) old_tree =
         Telemetry.incr c_nets_rerouted;
         List.iter (fun nd -> usage.(nd) <- usage.(nd) - 1) old_tree;
-        let src = node_of_src net.Cluster.driver in
+        let src = Rr_graph.src_node g net.Cluster.driver in
         incr tree_stamp;
         let stamp = !tree_stamp in
         on_tree.(src) <- stamp;
@@ -157,7 +141,7 @@ let route ?(caps = Rr_graph.default_caps) ?(defects = Defect.none)
         let tree_wires = ref [] in
         List.iter
           (fun sink_ep ->
-            let target = node_of_sink sink_ep in
+            let target = Rr_graph.sink_node g sink_ep in
             let lb = if astar then Rr_graph.lookahead g target else [||] in
             let h v = if astar then lb.(v) else 0.0 in
             Scratch.begin_search scratch;
@@ -257,45 +241,8 @@ let route ?(caps = Rr_graph.default_caps) ?(defects = Defect.none)
       if !overused > 0 then all_success := false;
       total_overused := !total_overused + !overused;
       if !iter > !worst_iters then worst_iters := !iter;
-      (* final per-net delays: pure-delay relaxation restricted to the tree *)
       Array.iter
-        (fun (net, wires) ->
-          let allowed = Hashtbl.create 16 in
-          List.iter (fun nd -> Hashtbl.replace allowed nd ()) wires;
-          let src = node_of_src net.Cluster.driver in
-          Hashtbl.replace allowed src ();
-          List.iter
-            (fun ep -> Hashtbl.replace allowed (node_of_sink ep) ())
-            net.Cluster.sinks;
-          (* simple Bellman-ish relaxation over the small tree *)
-          let d = Hashtbl.create 16 in
-          Hashtbl.replace d src 0.0;
-          let changed = ref true in
-          while !changed do
-            changed := false;
-            Hashtbl.iter
-              (fun u du ->
-                List.iter
-                  (fun v ->
-                    if Hashtbl.mem allowed v then begin
-                      let cand = du +. g.Rr_graph.delay.(v) in
-                      match Hashtbl.find_opt d v with
-                      | Some dv when dv <= cand -> ()
-                      | _ ->
-                        Hashtbl.replace d v cand;
-                        changed := true
-                    end)
-                  g.Rr_graph.adj.(u))
-              (Hashtbl.copy d)
-          done;
-          let sink_delays =
-            List.map
-              (fun ep ->
-                let nd = node_of_sink ep in
-                (ep, Option.value ~default:arch.Arch.t_global (Hashtbl.find_opt d nd)))
-              net.Cluster.sinks
-          in
-          all_routed := { net; tree = wires; sink_delays } :: !all_routed)
+        (fun (net, wires) -> all_routed := { net; tree = wires } :: !all_routed)
         trees)
     slots;
   let routed = !all_routed in
@@ -333,79 +280,6 @@ let route ?(caps = Rr_graph.default_caps) ?(defects = Defect.none)
          routed)
   in
   let wirelength = List.fold_left (fun acc rn -> acc + List.length rn.tree) 0 routed in
-  (* routed timing: longest LUT chain within any folding cycle *)
-  let delay_lookup = Hashtbl.create 256 in
-  List.iter
-    (fun rn ->
-      List.iter
-        (fun (ep, d) ->
-          Hashtbl.replace delay_lookup
-            (rn.net.Cluster.plane, rn.net.Cluster.cycle, rn.net.Cluster.value, ep)
-            d)
-        rn.sink_delays)
-    routed;
-  let worst = ref 0.0 in
-  Array.iter
-    (fun (plp : Mapper.plane_plan) ->
-      let plane = plp.Mapper.plane_index in
-      let network = plp.Mapper.network in
-      let part = plp.Mapper.partition in
-      let arrival = Array.make (Lut_network.size network) 0.0 in
-      Lut_network.iter
-        (fun l -> function
-          | Lut_network.Input _ -> ()
-          | Lut_network.Lut { fanins; _ } ->
-            let u = part.Partition.unit_of_lut.(l) in
-            let c = plp.Mapper.schedule.(u) in
-            let my_slot = Hashtbl.find cl.Cluster.lut_slots (plane, l) in
-            let my_smb = my_slot.Cluster.smb in
-            (* absorbed nets stay inside the SMB: LEs of one MB talk over
-               the fast local crossbar, different MBs over the SMB-level
-               crossbar *)
-            let local_delay source_slot =
-              match source_slot with
-              | Some (slot : Cluster.slot)
-                when slot.Cluster.smb = my_smb && slot.Cluster.mb = my_slot.Cluster.mb
-                -> arch.Arch.t_intra_mb
-              | Some _ | None -> arch.Arch.t_local
-            in
-            let slot_of_value = function
-              | Cluster.V_lut (p', l') -> Hashtbl.find_opt cl.Cluster.lut_slots (p', l')
-              | (Cluster.V_state _ | Cluster.V_pi _) as v ->
-                (match Hashtbl.find_opt cl.Cluster.ff_slots v with
-                 | Some (slot, _) -> Some slot
-                 | None -> None)
-            in
-            let net_delay value =
-              match
-                Hashtbl.find_opt delay_lookup (plane, c, value, Cluster.At_smb my_smb)
-              with
-              | Some d -> d
-              | None -> local_delay (slot_of_value value)
-            in
-            let input_arrival f =
-              match Lut_network.node network f with
-              | Lut_network.Lut _ ->
-                let fu = part.Partition.unit_of_lut.(f) in
-                let chain =
-                  if plp.Mapper.schedule.(fu) = c then arrival.(f) else 0.0
-                in
-                chain +. net_delay (Cluster.V_lut (plane, f))
-              | Lut_network.Input (Lut_network.Register_bit (r, b))
-              | Lut_network.Input (Lut_network.Wire_bit (r, b)) ->
-                net_delay (Cluster.V_state (r, b))
-              | Lut_network.Input (Lut_network.Pi_bit (s, b)) ->
-                net_delay (Cluster.V_pi (s, b))
-              | Lut_network.Input (Lut_network.Const_bit _) -> 0.0
-            in
-            let worst_in =
-              Array.fold_left (fun acc f -> Float.max acc (input_arrival f)) 0.0 fanins
-            in
-            arrival.(l) <- worst_in +. arch.Arch.t_lut;
-            if arrival.(l) > !worst then worst := arrival.(l))
-        network)
-    plan.Mapper.planes;
-  let folding_period_ns = !worst +. arch.Arch.t_reconf +. arch.Arch.t_setup in
   { graph = g;
     routed;
     success = !all_success;
@@ -414,8 +288,7 @@ let route ?(caps = Rr_graph.default_caps) ?(defects = Defect.none)
     usage_by_kind;
     nets_using_global;
     total_nets = List.length routed;
-    wirelength;
-    folding_period_ns }
+    wirelength }
 
 let validate r =
   let g = r.graph in
@@ -449,18 +322,8 @@ let validate r =
     (fun rn ->
       let allowed = Hashtbl.create 16 in
       List.iter (fun nd -> Hashtbl.replace allowed nd ()) rn.tree;
-      let src =
-        match rn.net.Cluster.driver with
-        | Cluster.At_smb s -> g.Rr_graph.src_of_smb.(s)
-        | Cluster.At_pad p -> g.Rr_graph.src_of_pad.(p)
-      in
-      let sinks =
-        List.map
-          (function
-            | Cluster.At_smb s -> g.Rr_graph.sink_of_smb.(s)
-            | Cluster.At_pad p -> g.Rr_graph.sink_of_pad.(p))
-          rn.net.Cluster.sinks
-      in
+      let src = Rr_graph.src_node g rn.net.Cluster.driver in
+      let sinks = List.map (Rr_graph.sink_node g) rn.net.Cluster.sinks in
       let reached = Hashtbl.create 16 in
       let rec visit u =
         if not (Hashtbl.mem reached u) then begin
@@ -485,10 +348,10 @@ let validate r =
     r.routed
 
 let route_adaptive ?(caps = Rr_graph.default_caps) ?(defects = Defect.none)
-    ?(max_doublings = 4) ?(alg = Incremental) pl cl plan =
+    ?(max_doublings = 4) ?(alg = Incremental) pl cl =
   let rec attempt factor =
     let result =
-      route ~caps:(Rr_graph.scale_caps caps factor) ~defects ~alg pl cl plan
+      route ~caps:(Rr_graph.scale_caps caps factor) ~defects ~alg pl cl
     in
     if result.success || factor >= 1 lsl max_doublings then (result, factor)
     else attempt (2 * factor)

@@ -26,7 +26,10 @@
 
     Routing is hierarchical in cost, as in the paper: direct links are the
     cheapest, then length-1 and length-4 segments, then the global lines —
-    the router naturally prefers the shortest hierarchy level that works. *)
+    the router naturally prefers the shortest hierarchy level that works.
+
+    The router computes trees only, never delays: {!Timing} evaluates the
+    routing the flow accepts. *)
 
 type algorithm =
   | Full         (** re-route every net each iteration, plain Dijkstra *)
@@ -35,7 +38,6 @@ type algorithm =
 type routed_net = {
   net : Nanomap_cluster.Cluster.net;
   tree : int list;                       (** rr wire nodes used *)
-  sink_delays : (Nanomap_cluster.Cluster.endpoint * float) list;
 }
 
 type result = {
@@ -52,7 +54,6 @@ type result = {
                                               global line; pad I/O excluded *)
   total_nets : int;
   wirelength : int;                      (** total wire nodes over all nets *)
-  folding_period_ns : float;             (** routed critical folding period *)
 }
 
 val route :
@@ -62,7 +63,6 @@ val route :
   ?alg:algorithm ->
   Nanomap_place.Place.t ->
   Nanomap_cluster.Cluster.t ->
-  Nanomap_core.Mapper.plan ->
   result
 (** Deterministic. [max_iterations] defaults to 12, [alg] to
     {!Incremental}. [defects] (default {!Nanomap_arch.Defect.none}) removes
@@ -78,7 +78,6 @@ val route_adaptive :
   ?alg:algorithm ->
   Nanomap_place.Place.t ->
   Nanomap_cluster.Cluster.t ->
-  Nanomap_core.Mapper.plan ->
   result * int
 (** Minimum-channel-width style search: retry with doubled track counts
     until the router succeeds (or [max_doublings], default 4, is

@@ -1,6 +1,7 @@
 module Arch = Nanomap_arch.Arch
 module Defect = Nanomap_arch.Defect
 module Place = Nanomap_place.Place
+module Cluster = Nanomap_cluster.Cluster
 
 type wire_kind =
   | Direct
@@ -61,6 +62,14 @@ type t = {
 let cost_eps = 0.01
 
 let base_cost t nd = t.delay.(nd) +. cost_eps
+
+let src_node t = function
+  | Cluster.At_smb s -> t.src_of_smb.(s)
+  | Cluster.At_pad p -> t.src_of_pad.(p)
+
+let sink_node t = function
+  | Cluster.At_smb s -> t.sink_of_smb.(s)
+  | Cluster.At_pad p -> t.sink_of_pad.(p)
 
 let reverse_adjacency adj =
   let radj = Array.make (Array.length adj) [] in

@@ -106,6 +106,12 @@ val base_cost : t -> int -> float
     router's congested node cost is always ≥ this (history ≥ 0 and
     present-sharing ≥ 1 only multiply it up). *)
 
+val src_node : t -> Nanomap_cluster.Cluster.endpoint -> int
+(** The source node a net driven from this endpoint starts at. *)
+
+val sink_node : t -> Nanomap_cluster.Cluster.endpoint -> int
+(** The sink node a net reaching this endpoint ends at. *)
+
 val lookahead : t -> int -> float array
 (** [lookahead g sink] is the exact base-cost distance from every node to
     [sink] ([infinity] where the sink is unreachable), computed by one

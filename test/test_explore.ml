@@ -41,9 +41,9 @@ let fixture ?(seed = 7) ?(level = 0) ?k ?les_per_mb benchmark =
    this fabric: once routable at some width, routable at every larger
    width (same placement, same seed). *)
 let test_monotone () =
-  let cl, plan, place = fixture Circuits.ex1_small in
+  let cl, _, place = fixture Circuits.ex1_small in
   let routable =
-    List.map (Explore.routable_at ~cluster:cl ~plan place) [ 1; 2; 3; 4; 5; 6; 8; 10; 12; 16 ]
+    List.map (Explore.routable_at ~cluster:cl place) [ 1; 2; 3; 4; 5; 6; 8; 10; 12; 16 ]
   in
   let rec ok seen_true = function
     | [] -> true
@@ -65,14 +65,14 @@ let test_exact_minimum () =
       | Ok w ->
         let rec first i =
           if i > 64 then Alcotest.fail "linear scan found no width"
-          else if Explore.routable_at ~cluster:cl ~plan place i then i
+          else if Explore.routable_at ~cluster:cl place i then i
           else first (i + 1)
         in
         let linear = first 1 in
         check Alcotest.int "binary search = linear scan" linear w;
         if w > 1 then
           check Alcotest.bool "w-1 is unroutable" false
-            (Explore.routable_at ~cluster:cl ~plan place (w - 1)))
+            (Explore.routable_at ~cluster:cl place (w - 1)))
     [ (Circuits.ex1_small, 0); (Circuits.ex1_small, 1);
       ((fun () -> Circuits.ex1 ()), 1) ]
 

@@ -116,7 +116,14 @@ let test_flow_full_physical () =
    | Some routing -> check Alcotest.bool "routed" true routing.Nanomap_route.Router.success
    | None -> Alcotest.fail "no routing");
   (match r.Flow.delay_routed_ns with
-   | Some d -> check Alcotest.bool "routed delay sane" true (d > r.Flow.delay_model_ns /. 4.)
+   | Some d ->
+     check Alcotest.bool "routed delay sane" true (d > r.Flow.delay_model_ns /. 4.);
+     check
+       Alcotest.(option (float 0.0))
+       "routed/model gauge"
+       (Some (d /. r.Flow.delay_model_ns))
+       (List.assoc_opt "timing.routed_over_model"
+          (Nanomap_util.Telemetry.gauges r.Flow.telemetry))
    | None -> Alcotest.fail "no routed delay");
   check Alcotest.bool "bitstream present" true (r.Flow.bitstream <> None)
 

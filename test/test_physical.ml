@@ -9,6 +9,7 @@ module Cluster = Nanomap_cluster.Cluster
 module Place = Nanomap_place.Place
 module Rr_graph = Nanomap_route.Rr_graph
 module Router = Nanomap_route.Router
+module Timing = Nanomap_route.Timing
 module Bitstream = Nanomap_bitstream.Bitstream
 module Circuits = Nanomap_circuits.Circuits
 module Partition = Nanomap_techmap.Partition
@@ -145,7 +146,9 @@ let test_place_routability_positive () =
   let cl = Cluster.pack plan ~arch in
   let p = Place.place ~effort:`Fast cl in
   check Alcotest.bool "routability finite" true (Place.routability p cl > 0.0);
-  check Alcotest.bool "timing positive" true (Place.timing_estimate p cl plan > 0.0)
+  let r, _ = Router.route_adaptive p cl in
+  check Alcotest.bool "routed delay positive" true
+    (Timing.routed_delay_ns r cl plan > 0.0)
 
 (* --- sat place: the exact engine against the annealer --- *)
 
@@ -290,7 +293,7 @@ let routed_fixture level =
   let plan, arch = small_plan level in
   let cl = Cluster.pack plan ~arch in
   let p = Place.place ~effort:`Fast cl in
-  let r, factor = Router.route_adaptive p cl plan in
+  let r, factor = Router.route_adaptive p cl in
   (plan, cl, r, factor)
 
 let test_router_succeeds_and_validates () =
@@ -308,10 +311,12 @@ let test_router_all_nets_routed () =
   check Alcotest.int "every net routed" (List.length cl.Cluster.nets) r.Router.total_nets
 
 let test_router_timing_positive () =
-  let plan, _, r, _ = routed_fixture 1 in
-  check Alcotest.bool "period sane" true
-    (r.Router.folding_period_ns > 0.3 && r.Router.folding_period_ns < 50.0);
-  ignore plan
+  let plan, cl, r, _ = routed_fixture 1 in
+  let period =
+    Timing.routed_delay_ns r cl plan
+    /. float_of_int (Array.length plan.Mapper.planes * plan.Mapper.stages)
+  in
+  check Alcotest.bool "period sane" true (period > 0.3 && period < 50.0)
 
 let test_router_usage_stats_consistent () =
   let _, _, r, _ = routed_fixture 1 in

@@ -142,7 +142,7 @@ let physical_prop =
         let cl = Cluster.pack plan ~arch in
         let place = Nanomap_place.Place.place ~effort:`Fast cl in
         Nanomap_place.Place.validate place cl;
-        let r, _ = Nanomap_route.Router.route_adaptive place cl plan in
+        let r, _ = Nanomap_route.Router.route_adaptive place cl in
         if r.Nanomap_route.Router.success then begin
           Nanomap_route.Router.validate r;
           true
@@ -167,8 +167,8 @@ let router_differential_prop =
         let cl = Cluster.pack plan ~arch in
         let place = Nanomap_place.Place.place ~effort:`Fast cl in
         let module R = Nanomap_route.Router in
-        let full, _ = R.route_adaptive ~alg:R.Full place cl plan in
-        let inc, _ = R.route_adaptive ~alg:R.Incremental place cl plan in
+        let full, _ = R.route_adaptive ~alg:R.Full place cl in
+        let inc, _ = R.route_adaptive ~alg:R.Incremental place cl in
         if not (full.R.success && inc.R.success) then false
         else begin
           R.validate full;

@@ -1,7 +1,8 @@
 (* Router correctness harness: heap ordering invariants, generation-stamp
    scratch semantics, A* lookahead admissibility on hand-built and real
    routing graphs, deterministic net ordering, full-vs-incremental
-   agreement, and the golden routed-result regression corpus.
+   agreement, routed timing against the router's former inline pass, and
+   the golden routed-result regression corpus.
 
    Golden files live in test/golden/ and are compared byte-for-byte; to
    refresh them after an intentional router change run `make regen-golden`
@@ -14,6 +15,9 @@ module Cluster = Nanomap_cluster.Cluster
 module Place = Nanomap_place.Place
 module Rr_graph = Nanomap_route.Rr_graph
 module Router = Nanomap_route.Router
+module Timing = Nanomap_route.Timing
+module Partition = Nanomap_techmap.Partition
+module Lut_network = Nanomap_techmap.Lut_network
 module Circuits = Nanomap_circuits.Circuits
 module Min_heap = Nanomap_util.Min_heap
 module Rng = Nanomap_util.Rng
@@ -269,14 +273,14 @@ let test_group_by_slot_sorted_and_stable () =
     (List.fold_left (fun acc (_, ns) -> acc + List.length ns) 0 slots)
 
 let test_route_deterministic () =
-  let plan, cl, place = small_fixture 1 (Circuits.ex1_small ()) in
+  let _, cl, place = small_fixture 1 (Circuits.ex1_small ()) in
   let tree_sets (r : Router.result) =
     List.map (fun (rn : Router.routed_net) -> List.sort compare rn.Router.tree) r.Router.routed
   in
   List.iter
     (fun alg ->
-      let r1, f1 = Router.route_adaptive ~alg place cl plan in
-      let r2, f2 = Router.route_adaptive ~alg place cl plan in
+      let r1, f1 = Router.route_adaptive ~alg place cl in
+      let r2, f2 = Router.route_adaptive ~alg place cl in
       check Alcotest.int "same channel factor" f1 f2;
       check Alcotest.bool "identical trees" true (tree_sets r1 = tree_sets r2))
     [ Router.Full; Router.Incremental ]
@@ -286,9 +290,9 @@ let test_route_deterministic () =
 let test_algorithms_agree () =
   List.iter
     (fun level ->
-      let plan, cl, place = small_fixture level (Circuits.ex1_small ()) in
-      let full, _ = Router.route_adaptive ~alg:Router.Full place cl plan in
-      let inc, _ = Router.route_adaptive ~alg:Router.Incremental place cl plan in
+      let _, cl, place = small_fixture level (Circuits.ex1_small ()) in
+      let full, _ = Router.route_adaptive ~alg:Router.Full place cl in
+      let inc, _ = Router.route_adaptive ~alg:Router.Incremental place cl in
       check Alcotest.bool "full legal" true full.Router.success;
       check Alcotest.bool "incremental legal" true inc.Router.success;
       Router.validate full;
@@ -329,11 +333,11 @@ let serialize_routing alg_name (r : Router.result) =
     r.Router.routed
 
 let golden_text (b : Circuits.benchmark) level =
-  let plan, cl, place = small_fixture level b in
+  let _, cl, place = small_fixture level b in
   let lines =
     List.concat_map
       (fun (alg, alg_name) ->
-        let r, factor = Router.route_adaptive ~alg place cl plan in
+        let r, factor = Router.route_adaptive ~alg place cl in
         check Alcotest.bool (alg_name ^ " legal") true r.Router.success;
         Router.validate r;
         Printf.sprintf "# alg=%s channel_factor=%d nets=%d wirelength=%d"
@@ -342,6 +346,144 @@ let golden_text (b : Circuits.benchmark) level =
       [ (Router.Full, "full"); (Router.Incremental, "incremental") ]
   in
   String.concat "\n" lines ^ "\n"
+
+(* --- routed timing against the reference pass --- *)
+
+(* The per-sink delays as the router used to compute them inline: a
+   Bellman-style fixpoint over each net's tree, relaxing from a copy of the
+   table until nothing changes. Timing's single Dijkstra must reproduce it
+   bit for bit. *)
+let reference_sink_delays (r : Router.result) arch =
+  let g = r.Router.graph in
+  List.map
+    (fun (rn : Router.routed_net) ->
+      let net = rn.Router.net in
+      let allowed = Hashtbl.create 16 in
+      List.iter (fun nd -> Hashtbl.replace allowed nd ()) rn.Router.tree;
+      let src = Rr_graph.src_node g net.Cluster.driver in
+      Hashtbl.replace allowed src ();
+      List.iter
+        (fun ep -> Hashtbl.replace allowed (Rr_graph.sink_node g ep) ())
+        net.Cluster.sinks;
+      let d = Hashtbl.create 16 in
+      Hashtbl.replace d src 0.0;
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        Hashtbl.iter
+          (fun u du ->
+            List.iter
+              (fun v ->
+                if Hashtbl.mem allowed v then begin
+                  let cand = du +. g.Rr_graph.delay.(v) in
+                  match Hashtbl.find_opt d v with
+                  | Some dv when dv <= cand -> ()
+                  | _ ->
+                    Hashtbl.replace d v cand;
+                    changed := true
+                end)
+              g.Rr_graph.adj.(u))
+          (Hashtbl.copy d)
+      done;
+      List.map
+        (fun ep ->
+          Option.value ~default:arch.Arch.t_global
+            (Hashtbl.find_opt d (Rr_graph.sink_node g ep)))
+        net.Cluster.sinks)
+    r.Router.routed
+
+(* The router's former inline arrival-time pass over those delays: the
+   routed folding period. *)
+let reference_period (r : Router.result) (cl : Cluster.t) (plan : Mapper.plan) =
+  let arch = cl.Cluster.arch in
+  let delay_lookup = Hashtbl.create 256 in
+  List.iter2
+    (fun (rn : Router.routed_net) delays ->
+      let net = rn.Router.net in
+      List.iter2
+        (fun ep d ->
+          Hashtbl.replace delay_lookup
+            (net.Cluster.plane, net.Cluster.cycle, net.Cluster.value, ep)
+            d)
+        net.Cluster.sinks delays)
+    r.Router.routed
+    (reference_sink_delays r arch);
+  let worst = ref 0.0 in
+  Array.iter
+    (fun (plp : Mapper.plane_plan) ->
+      let plane = plp.Mapper.plane_index in
+      let network = plp.Mapper.network in
+      let part = plp.Mapper.partition in
+      let arrival = Array.make (Lut_network.size network) 0.0 in
+      Lut_network.iter
+        (fun l -> function
+          | Lut_network.Input _ -> ()
+          | Lut_network.Lut { fanins; _ } ->
+            let c = plp.Mapper.schedule.(part.Partition.unit_of_lut.(l)) in
+            let my_slot = Hashtbl.find cl.Cluster.lut_slots (plane, l) in
+            let my_smb = my_slot.Cluster.smb in
+            let local_delay = function
+              | Some (slot : Cluster.slot)
+                when slot.Cluster.smb = my_smb && slot.Cluster.mb = my_slot.Cluster.mb
+                -> arch.Arch.t_intra_mb
+              | Some _ | None -> arch.Arch.t_local
+            in
+            let slot_of_value = function
+              | Cluster.V_lut (p', l') -> Hashtbl.find_opt cl.Cluster.lut_slots (p', l')
+              | (Cluster.V_state _ | Cluster.V_pi _) as v ->
+                Option.map fst (Hashtbl.find_opt cl.Cluster.ff_slots v)
+            in
+            let net_delay value =
+              match
+                Hashtbl.find_opt delay_lookup (plane, c, value, Cluster.At_smb my_smb)
+              with
+              | Some d -> d
+              | None -> local_delay (slot_of_value value)
+            in
+            let input_arrival f =
+              match Lut_network.node network f with
+              | Lut_network.Lut _ ->
+                let fc = plp.Mapper.schedule.(part.Partition.unit_of_lut.(f)) in
+                (if fc = c then arrival.(f) else 0.0)
+                +. net_delay (Cluster.V_lut (plane, f))
+              | Lut_network.Input (Lut_network.Register_bit (r, b))
+              | Lut_network.Input (Lut_network.Wire_bit (r, b)) ->
+                net_delay (Cluster.V_state (r, b))
+              | Lut_network.Input (Lut_network.Pi_bit (s, b)) ->
+                net_delay (Cluster.V_pi (s, b))
+              | Lut_network.Input (Lut_network.Const_bit _) -> 0.0
+            in
+            let worst_in =
+              Array.fold_left (fun acc f -> Float.max acc (input_arrival f)) 0.0 fanins
+            in
+            arrival.(l) <- worst_in +. arch.Arch.t_lut;
+            if arrival.(l) > !worst then worst := arrival.(l))
+        network)
+    plan.Mapper.planes;
+  !worst +. arch.Arch.t_reconf +. arch.Arch.t_setup
+
+let test_timing_matches_reference (b : Circuits.benchmark) level () =
+  let plan, cl, place = small_fixture level b in
+  List.iter
+    (fun (alg, alg_name) ->
+      let r, _ = Router.route_adaptive ~alg place cl in
+      Router.validate r;
+      let got = Timing.sink_delays r in
+      let want = reference_sink_delays r cl.Cluster.arch in
+      check Alcotest.int (alg_name ^ ": one delay list per net")
+        (List.length want) (List.length got);
+      List.iter2
+        (List.iter2 (fun w g ->
+             if not (Float.equal w g) then
+               Alcotest.failf "%s: sink delay %h, reference %h" alg_name g w))
+        want got;
+      let n = Array.length plan.Mapper.planes * plan.Mapper.stages in
+      let want_delay = float_of_int n *. reference_period r cl plan in
+      let got_delay = Timing.routed_delay_ns r cl plan in
+      if not (Float.equal want_delay got_delay) then
+        Alcotest.failf "%s: routed delay %h, reference %h" alg_name got_delay
+          want_delay)
+    [ (Router.Full, "full"); (Router.Incremental, "incremental") ]
 
 let read_file path =
   let ic = open_in_bin path in
@@ -400,6 +542,12 @@ let () =
           Alcotest.test_case "repeat routes" `Quick test_route_deterministic ] );
       ( "differential",
         [ Alcotest.test_case "full vs incremental" `Quick test_algorithms_agree ] );
+      ( "timing",
+        List.map
+          (fun (name, b, level) ->
+            Alcotest.test_case (name ^ " matches reference") `Quick
+              (test_timing_matches_reference b level))
+          (golden_cases ()) );
       ( "golden",
         List.map
           (fun (name, b, level) ->
