@@ -126,9 +126,11 @@ map-designs-aig: build
 	done
 
 # Refresh the regression corpora in test/golden/ after an intentional
-# router or explorer change (the golden diff tests will tell you when):
-# the routed-result corpus and the explore smoke-grid report.
+# placer, router or explorer change (the golden diff tests will tell you
+# when): the annealer's paper-circuit placements, the routed-result corpus
+# and the explore smoke-grid report.
 regen-golden: build
+	NANOMAP_REGEN_GOLDEN=$(CURDIR)/test/golden dune exec test/test_physical.exe -- test golden
 	NANOMAP_REGEN_GOLDEN=$(CURDIR)/test/golden dune exec test/test_router.exe -- test golden
 	NANOMAP_REGEN_GOLDEN=$(CURDIR)/test/golden dune exec test/test_explore.exe -- test sweep
 

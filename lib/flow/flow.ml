@@ -343,7 +343,9 @@ let run_result ?cancel ?(options = default_options) ?(arch = Arch.default)
                               match winner with `Sa -> "sa" | `Sat -> "sat" ) ];
                       p)
               in
-              Place.validate placement cluster;
+              (* every level validates the placement once: [Check.place]
+                 runs [Place.validate] itself *)
+              if level = Check.Off then Place.validate placement cluster;
               placement)
         in
         let* () =
@@ -356,14 +358,9 @@ let run_result ?cancel ?(options = default_options) ?(arch = Arch.default)
                   Router.route_adaptive ~caps ~defects:options.defects
                     ~alg:options.route_alg placement cluster))
         in
-        let* delay_routed_ns =
+        let* () =
           if routing.Router.success then
-            protect "route" (fun () ->
-                Router.validate routing;
-                let delay = Timing.routed_delay_ns routing cluster plan in
-                Telemetry.set_gauge tele "timing.routed_over_model"
-                  (delay /. plan.Mapper.delay_ns);
-                delay)
+            checked (Check.route level cluster routing)
           else
             Error
               (journal
@@ -373,7 +370,16 @@ let run_result ?cancel ?(options = default_options) ?(arch = Arch.default)
                         ("channel_factor", string_of_int channel_factor) ]
                     "adaptive routing still overuses wires at the widest fabric"))
         in
-        let* () = checked (Check.route level cluster routing) in
+        let* delay_routed_ns =
+          protect "route" (fun () ->
+              (* as for placement, [Check.route] already ran
+                 [Router.validate] unless checks are off *)
+              if level = Check.Off then Router.validate routing;
+              let delay = Timing.routed_delay_ns routing cluster plan in
+              Telemetry.set_gauge tele "timing.routed_over_model"
+                (delay /. plan.Mapper.delay_ns);
+              delay)
+        in
         Telemetry.set_gauge tele "route.wirelength"
           (float_of_int routing.Router.wirelength);
         Telemetry.set_gauge tele "route.channel_factor"

@@ -22,10 +22,13 @@
       diagnostic.
 
     Inter-stage invariant checkers ({!Check}) run between stages at
-    {!options.check_level}. A failed {e physical} stage (placement,
-    routing, bitstream) triggers bounded graceful degradation before the
-    flow gives up: retry with a fresh placement seed, then widen the
-    routing fabric 2x, then lower the folding level while one remains.
+    {!options.check_level}. The placement and the routing are validated
+    once per compile at every level: by {!Check.place} / {!Check.route},
+    or, at [Off], by the flow's own [Place.validate] / [Router.validate]
+    call. A failed {e physical} stage (placement, routing, bitstream)
+    triggers bounded graceful degradation before the flow gives up: retry
+    with a fresh placement seed, then widen the routing fabric 2x, then
+    lower the folding level while one remains.
     Every degradation step is journaled (event ["flow.degradation"]) and
     counted (counter [flow.degradations]); steps taken appear in
     {!report.degradations} and, on failure, in the diagnostic's

@@ -8,6 +8,7 @@ module Telemetry = Nanomap_util.Telemetry
 let c_moves_tried = Telemetry.counter "place.moves_tried"
 let c_moves_accepted = Telemetry.counter "place.moves_accepted"
 let c_temp_steps = Telemetry.counter "place.temperature_steps"
+let c_net_evals = Telemetry.counter "place.net_evals"
 
 type t = {
   width : int;
@@ -40,57 +41,73 @@ let default_pad_xy (cl : Cluster.t) ~width ~height =
       perim.(i * Array.length perim / max n_pads 1 mod Array.length perim))
 
 type flat_net = {
-  smb_eps : int array;  (** distinct SMB endpoints *)
-  pad_eps : int array;  (** distinct pad endpoints *)
-  weight : float;
+  smb_eps : int array;  (** distinct SMB endpoints, sorted *)
+  pad_eps : int array;  (** distinct pad endpoints, sorted *)
+  weight : int;  (** number of temporal nets merged into this entry *)
 }
 
+(* The joint cost sums every folding cycle's HPWL, one term per temporal
+   net, but most temporal nets repeat another's endpoint set (ex1: 774 nets,
+   61 sets) and so its bounding box. Parallel nets merge into one entry
+   weighted by their count, kept in first-occurrence order. Costs are
+   integers, so merging changes no sum and no move delta. *)
 let flatten_nets ?(joint = true) (cl : Cluster.t) =
-  List.filter_map
+  let weights = Hashtbl.create 256 in
+  let order = ref [] in
+  List.iter
     (fun (n : Cluster.net) ->
-      let weight =
-        if joint then 1.0 else if n.Cluster.cycle = 1 then 1.0 else 0.0
-      in
-      if weight = 0.0 then None
-      else begin
-        let smbs = Hashtbl.create 4 and pads = Hashtbl.create 4 in
-        let add = function
-          | Cluster.At_smb s -> Hashtbl.replace smbs s ()
-          | Cluster.At_pad p -> Hashtbl.replace pads p ()
+      if joint || n.Cluster.cycle = 1 then begin
+        let eps = n.Cluster.driver :: n.Cluster.sinks in
+        (* sorted and deduplicated: endpoint order must not leak into
+           anything downstream (determinism contract) *)
+        let ids f = List.filter_map f eps |> List.sort_uniq compare |> Array.of_list in
+        let key =
+          ( ids (function Cluster.At_smb s -> Some s | Cluster.At_pad _ -> None),
+            ids (function Cluster.At_pad p -> Some p | Cluster.At_smb _ -> None) )
         in
-        add n.Cluster.driver;
-        List.iter add n.Cluster.sinks;
-        Some
-          (* Sort the deduplicated endpoints: Hashtbl.fold visits buckets in
-             an unspecified order, and endpoint order must not leak into
-             anything downstream (determinism contract). *)
-          { smb_eps =
-              Hashtbl.fold (fun s () acc -> s :: acc) smbs []
-              |> List.sort compare |> Array.of_list;
-            pad_eps =
-              Hashtbl.fold (fun p () acc -> p :: acc) pads []
-              |> List.sort compare |> Array.of_list;
-            weight }
+        match Hashtbl.find_opt weights key with
+        | Some w -> incr w
+        | None ->
+          Hashtbl.add weights key (ref 1);
+          order := key :: !order
       end)
-    cl.Cluster.nets
+    cl.Cluster.nets;
+  List.rev_map
+    (fun ((smb_eps, pad_eps) as key) ->
+      { smb_eps; pad_eps; weight = !(Hashtbl.find weights key) })
+    !order
   |> Array.of_list
 
-let net_hpwl smb_xy pad_xy net =
-  let minx = ref max_int and maxx = ref min_int in
-  let miny = ref max_int and maxy = ref min_int in
-  let visit (x, y) =
+(* Pads never move, so each net's pad bounding box is fixed: min x, max x,
+   min y, max y at [4i .. 4i+3] (an empty box is max_int, min_int). *)
+let pad_boxes nets pad_xy =
+  let box = Array.make (4 * Array.length nets) 0 in
+  Array.iteri
+    (fun i net ->
+      let coord f = Array.map (fun p -> f pad_xy.(p)) net.pad_eps in
+      let xs = coord fst and ys = coord snd in
+      box.(4 * i) <- Array.fold_left min max_int xs;
+      box.((4 * i) + 1) <- Array.fold_left max min_int xs;
+      box.((4 * i) + 2) <- Array.fold_left min max_int ys;
+      box.((4 * i) + 3) <- Array.fold_left max min_int ys)
+    nets;
+  box
+
+(* Weighted HPWL of net [i] with SMB [s] at [(xs.(s), ys.(s))]: its pad box
+   grown by its SMB endpoints. Allocation-free. *)
+let net_cost nets box xs ys i =
+  let minx = ref box.(4 * i) and maxx = ref box.((4 * i) + 1) in
+  let miny = ref box.((4 * i) + 2) and maxy = ref box.((4 * i) + 3) in
+  let eps = nets.(i).smb_eps in
+  for k = 0 to Array.length eps - 1 do
+    let x = xs.(eps.(k)) and y = ys.(eps.(k)) in
     if x < !minx then minx := x;
     if x > !maxx then maxx := x;
     if y < !miny then miny := y;
     if y > !maxy then maxy := y
-  in
-  Array.iter (fun s -> visit smb_xy.(s)) net.smb_eps;
-  Array.iter (fun p -> visit pad_xy.(p)) net.pad_eps;
-  if !minx > !maxx then 0.0
-  else float_of_int ((!maxx - !minx) + (!maxy - !miny)) *. net.weight
-
-let total_hpwl smb_xy pad_xy nets =
-  Array.fold_left (fun acc n -> acc +. net_hpwl smb_xy pad_xy n) 0.0 nets
+  done;
+  if !minx > !maxx then 0
+  else (!maxx - !minx + (!maxy - !miny)) * nets.(i).weight
 
 let grid_dims (cl : Cluster.t) =
   let n_smb = max cl.Cluster.num_smbs 1 in
@@ -142,6 +159,7 @@ let place ?(seed = 1) ?(effort = `Detailed) ?(joint = true) ?init
   let width, height = grid_dims cl in
   let pad_xy = default_pad_xy cl ~width ~height in
   let nets = flatten_nets ~joint cl in
+  let n_nets = Array.length nets in
   let nsites = width * height in
   let illegal = illegal_sites defects cl ~n_smb ~width ~height in
   let legal s site =
@@ -149,9 +167,14 @@ let place ?(seed = 1) ?(effort = `Detailed) ?(joint = true) ?init
     | None -> true
     | Some arr -> not arr.((s * nsites) + site)
   in
-  (* site occupancy *)
+  (* site occupancy, and SMB coordinates as unboxed x/y arrays *)
   let site_of = Array.make nsites (-1) in
-  let smb_xy = Array.make n_smb (0, 0) in
+  let xs = Array.make n_smb 0 and ys = Array.make n_smb 0 in
+  let put s x y =
+    xs.(s) <- x;
+    ys.(s) <- y;
+    site_of.((y * width) + x) <- s
+  in
   (* seed from a previous placement of the same cluster (two-phase flow:
      the detailed pass refines the accepted fast placement instead of
      re-deriving the global structure from scratch). A valid [init]
@@ -167,8 +190,7 @@ let place ?(seed = 1) ?(effort = `Detailed) ?(joint = true) ?init
                   let x, y = p.smb_xy.(s) in
                   legal s ((y * width) + x))
                 (Array.init n_smb Fun.id) ->
-      Array.blit p.smb_xy 0 smb_xy 0 n_smb;
-      Array.iteri (fun s (x, y) -> site_of.((y * width) + x) <- s) smb_xy;
+      Array.iteri (fun s (x, y) -> put s x y) p.smb_xy;
       true
     | Some _ | None -> false
   in
@@ -176,9 +198,7 @@ let place ?(seed = 1) ?(effort = `Detailed) ?(joint = true) ?init
     match illegal with
     | None ->
       for s = 0 to n_smb - 1 do
-        let x = s mod width and y = s / width in
-        smb_xy.(s) <- (x, y);
-        site_of.((y * width) + x) <- s
+        put s (s mod width) (s / width)
       done
     | Some _ ->
       (* first free site the SMB's occupied LEs are all healthy on *)
@@ -192,34 +212,66 @@ let place ?(seed = 1) ?(effort = `Detailed) ?(joint = true) ?init
           else find (site + 1)
         in
         let site = find 0 in
-        smb_xy.(s) <- (site mod width, site / width);
-        site_of.(site) <- s
+        put s (site mod width) (site / width)
       done
   end;
   (* incident nets per smb *)
   let incident = Array.make n_smb [] in
-  Array.iteri
-    (fun i net -> Array.iter (fun s -> incident.(s) <- i :: incident.(s)) net.smb_eps)
-    nets;
-  let cost = ref (total_hpwl smb_xy pad_xy nets) in
-  let moves_tried = ref 0 and moves_accepted = ref 0 in
-  let affected a b =
-    match b with
-    | None -> incident.(a)
-    | Some b -> List.rev_append incident.(a) incident.(b)
+  for i = n_nets - 1 downto 0 do
+    Array.iter (fun s -> incident.(s) <- i :: incident.(s)) nets.(i).smb_eps
+  done;
+  let incident = Array.map Array.of_list incident in
+  (* [net_now.(i)] is net [i]'s cost in the current placement, so a move
+     scores only the boxes it changes *)
+  let box = pad_boxes nets pad_xy in
+  let net_now = Array.init n_nets (net_cost nets box xs ys) in
+  let cost = ref (Array.fold_left ( + ) 0 net_now) in
+  let net_evals = ref n_nets in
+  (* the nets a move touches, collected without allocating: [stamp.(i)]
+     equal to the move's generation marks net [i] as seen *)
+  let touched = Array.make n_nets 0 and touched_cost = Array.make n_nets 0 in
+  let n_touched = ref 0 in
+  let stamp = Array.make n_nets 0 and generation = ref 0 in
+  (* The nets of [a] and of [b] (-1: none). A net holding both is skipped:
+     swapping the two cannot change its box. *)
+  let collect a b =
+    generation := !generation + 2;
+    let g = !generation in
+    let inc_a = incident.(a) and inc_b = if b >= 0 then incident.(b) else [||] in
+    for k = 0 to Array.length inc_b - 1 do
+      stamp.(inc_b.(k)) <- g
+    done;
+    n_touched := 0;
+    for k = 0 to Array.length inc_a - 1 do
+      let i = inc_a.(k) in
+      if stamp.(i) = g then stamp.(i) <- g + 1
+      else begin
+        touched.(!n_touched) <- i;
+        incr n_touched
+      end
+    done;
+    for k = 0 to Array.length inc_b - 1 do
+      let i = inc_b.(k) in
+      if stamp.(i) = g then begin
+        touched.(!n_touched) <- i;
+        incr n_touched
+      end
+    done
   in
-  (* Returns the cost delta it computed (0.0 for degenerate no-op moves),
-     so callers can calibrate temperatures without replaying moves. *)
-  let try_move ~temp ~rlim =
+  let clamp hi (v : int) = if v < 0 then 0 else if v > hi then hi else v in
+  let moves_tried = ref 0 and moves_accepted = ref 0 in
+  let temp = ref 0.0 and rlim = ref (max width height) in
+  (* One move at [!temp] within [!rlim]. Returns the cost delta it computed
+     (0 for degenerate no-op moves), so callers can calibrate temperatures
+     without replaying moves. *)
+  let try_move () =
     incr moves_tried;
-    Telemetry.incr c_moves_tried;
     let a = Rng.int rng n_smb in
-    let ax, ay = smb_xy.(a) in
-    let dx = Rng.int rng ((2 * rlim) + 1) - rlim in
-    let dy = Rng.int rng ((2 * rlim) + 1) - rlim in
-    let tx = max 0 (min (width - 1) (ax + dx)) in
-    let ty = max 0 (min (height - 1) (ay + dy)) in
-    if (tx, ty) = (ax, ay) then 0.0
+    let ax = xs.(a) and ay = ys.(a) in
+    let dx = Rng.int rng ((2 * !rlim) + 1) - !rlim in
+    let dy = Rng.int rng ((2 * !rlim) + 1) - !rlim in
+    let tx = clamp (width - 1) (ax + dx) and ty = clamp (height - 1) (ay + dy) in
+    if tx = ax && ty = ay then 0
     else begin
       let target_site = (ty * width) + tx in
       let occupant = site_of.(target_site) in
@@ -227,43 +279,54 @@ let place ?(seed = 1) ?(effort = `Detailed) ?(joint = true) ?init
       if
         (not (legal a target_site))
         || (occupant >= 0 && not (legal occupant source_site))
-      then 0.0
+      then 0
       else begin
-      let nets_touched =
-        affected a (if occupant >= 0 then Some occupant else None)
-      in
-      let before =
-        List.fold_left (fun acc i -> acc +. net_hpwl smb_xy pad_xy nets.(i)) 0.0
-          nets_touched
-      in
-      (* apply *)
-      smb_xy.(a) <- (tx, ty);
-      if occupant >= 0 then smb_xy.(occupant) <- (ax, ay);
-      let after =
-        List.fold_left (fun acc i -> acc +. net_hpwl smb_xy pad_xy nets.(i)) 0.0
-          nets_touched
-      in
-      let delta = after -. before in
-      let accept =
-        delta <= 0.0 || (temp > 0.0 && Rng.float rng 1.0 < exp (-.delta /. temp))
-      in
-      if accept then begin
-        cost := !cost +. delta;
-        incr moves_accepted;
-        Telemetry.incr c_moves_accepted;
-        site_of.(target_site) <- a;
-        site_of.((ay * width) + ax) <- (match occupant with -1 -> -1 | b -> b)
-      end
-      else begin
-        (* revert *)
-        smb_xy.(a) <- (ax, ay);
-        if occupant >= 0 then smb_xy.(occupant) <- (tx, ty)
-      end;
-      delta
+        collect a occupant;
+        (* apply *)
+        xs.(a) <- tx;
+        ys.(a) <- ty;
+        if occupant >= 0 then begin
+          xs.(occupant) <- ax;
+          ys.(occupant) <- ay
+        end;
+        let delta = ref 0 in
+        for k = 0 to !n_touched - 1 do
+          let i = touched.(k) in
+          let c = net_cost nets box xs ys i in
+          touched_cost.(k) <- c;
+          delta := !delta + c - net_now.(i)
+        done;
+        net_evals := !net_evals + !n_touched;
+        let delta = !delta in
+        let accept =
+          delta <= 0
+          || (!temp > 0.0
+             && Rng.float rng 1.0 < exp (-.float_of_int delta /. !temp))
+        in
+        if accept then begin
+          cost := !cost + delta;
+          incr moves_accepted;
+          for k = 0 to !n_touched - 1 do
+            net_now.(touched.(k)) <- touched_cost.(k)
+          done;
+          site_of.(target_site) <- a;
+          site_of.(source_site) <- occupant
+        end
+        else begin
+          (* revert *)
+          xs.(a) <- ax;
+          ys.(a) <- ay;
+          if occupant >= 0 then begin
+            xs.(occupant) <- tx;
+            ys.(occupant) <- ty
+          end
+        end;
+        delta
       end
     end
   in
-  if Array.length nets > 0 && n_smb > 1 then begin
+  let temp_steps = ref 0 in
+  if n_nets > 0 && n_smb > 1 then begin
     (* initial temperature: sample random moves *)
     let samples = 50 in
     let t0 =
@@ -271,19 +334,21 @@ let place ?(seed = 1) ?(effort = `Detailed) ?(joint = true) ?init
         (* refinement: probe at zero temperature (only improvements commit)
            and start just warm enough to escape local minima without
            scrambling the seed placement *)
+        temp := 0.0;
         let sum_sq = ref 0.0 in
         for _ = 1 to samples do
-          let d = try_move ~temp:0.0 ~rlim:(max width height) in
+          let d = float_of_int (try_move ()) in
           sum_sq := !sum_sq +. (d *. d)
         done;
         sqrt (!sum_sq /. float_of_int samples) +. 0.1
       end
       else begin
+        temp := infinity;
         let base = !cost in
         let sum_sq = ref 0.0 in
         for _ = 1 to samples do
-          ignore (try_move ~temp:infinity ~rlim:(max width height));
-          let d = !cost -. base in
+          ignore (try_move ());
+          let d = float_of_int (!cost - base) in
           sum_sq := !sum_sq +. (d *. d)
         done;
         (20.0 *. sqrt (!sum_sq /. float_of_int samples)) +. 1.0
@@ -293,14 +358,17 @@ let place ?(seed = 1) ?(effort = `Detailed) ?(joint = true) ?init
     let inner =
       factor * int_of_float (4.0 *. (float_of_int n_smb ** 1.3333)) |> max 32
     in
-    let temp = ref t0 in
-    let rlim = ref (max width height) in
-    let stop_at = 0.005 *. (!cost +. 1.0) /. float_of_int (Array.length nets) in
+    temp := t0;
+    (* the schedule scales with the number of temporal nets, merged or not *)
+    let total_weight = Array.fold_left (fun acc n -> acc + n.weight) 0 nets in
+    let stop_at =
+      0.005 *. (float_of_int !cost +. 1.0) /. float_of_int total_weight
+    in
     while !temp > stop_at do
-      Telemetry.incr c_temp_steps;
+      incr temp_steps;
       let before_accepted = !moves_accepted in
       for _ = 1 to inner do
-        ignore (try_move ~temp:!temp ~rlim:!rlim)
+        ignore (try_move ())
       done;
       let alpha =
         float_of_int (!moves_accepted - before_accepted) /. float_of_int inner
@@ -319,20 +387,30 @@ let place ?(seed = 1) ?(effort = `Detailed) ?(joint = true) ?init
              (int_of_float (float_of_int !rlim *. (1.0 -. 0.44 +. alpha))))
     done;
     (* greedy cleanup *)
+    temp := 0.0;
+    rlim := 1;
     for _ = 1 to inner do
-      ignore (try_move ~temp:0.0 ~rlim:1)
+      ignore (try_move ())
     done
   end;
+  Telemetry.add c_moves_tried !moves_tried;
+  Telemetry.add c_moves_accepted !moves_accepted;
+  Telemetry.add c_temp_steps !temp_steps;
+  Telemetry.add c_net_evals !net_evals;
   { width;
     height;
-    smb_xy;
+    smb_xy = Array.init n_smb (fun s -> (xs.(s), ys.(s)));
     pad_xy;
-    hpwl = total_hpwl smb_xy pad_xy nets;
+    hpwl = float_of_int !cost;
     moves_tried = !moves_tried;
     moves_accepted = !moves_accepted }
 
 let hpwl t (cl : Cluster.t) =
-  total_hpwl t.smb_xy t.pad_xy (flatten_nets ~joint:true cl)
+  let nets = flatten_nets cl in
+  let box = pad_boxes nets t.pad_xy in
+  let xs = Array.map fst t.smb_xy and ys = Array.map snd t.smb_xy in
+  Array.init (Array.length nets) (net_cost nets box xs ys)
+  |> Array.fold_left ( + ) 0 |> float_of_int
 
 (* RISA-flavoured estimate: each net spreads q(pins) * hpwl wire over its
    bounding box; channel supply is one track-bundle per grid edge. The

@@ -11,6 +11,13 @@
     [joint:false] restricts the cost to first-cycle nets, which is the
     ablation knob for that design choice.
 
+    Temporal nets with the same endpoint set share one bounding box, so
+    the annealer scores them as one weighted net; every cost is an integer
+    and the result is exactly that of scoring each temporal net on its
+    own. Moves are evaluated without allocating: unboxed coordinates, pad
+    boxes computed once, per-net costs cached, and each touched net scored
+    once. The [place.net_evals] counter records the boxes scored.
+
     The flow runs {!place} twice, mirroring Fig. 2: a [`Fast] low-precision
     pass whose result is screened by {!routability}, then a [`Detailed]
     pass seeded with it. Timing is judged after routing, not here. *)
@@ -91,8 +98,8 @@ val portfolio :
     through to each candidate run. *)
 
 val hpwl : t -> Nanomap_cluster.Cluster.t -> float
-(** Joint HPWL of a placement (recomputed from scratch; used by tests and
-    the ablation, independent of the annealer's incremental bookkeeping). *)
+(** Joint HPWL of a placement, recomputed from scratch (used by tests and
+    the ablation); equal to the [hpwl] field of a joint {!place} result. *)
 
 val routability : t -> Nanomap_cluster.Cluster.t -> float
 (** RISA-flavoured routability estimate: expected peak channel utilization

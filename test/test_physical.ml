@@ -399,12 +399,26 @@ let test_portfolio_jobs_equivalent () =
     Pool.with_pool ~jobs (fun pool ->
         Place.portfolio ~pool ~count:6 ~seed:3 ~effort:`Detailed cl)
   in
-  let serial = Place.portfolio ~count:6 ~seed:3 ~effort:`Detailed cl in
-  let p1 = run 1 and p4 = run 4 in
+  (* the annealer's work counter is charged once per candidate anneal, so
+     the pool changes it no more than the placement *)
+  let net_evals = Nanomap_util.Telemetry.counter "place.net_evals" in
+  let counted f =
+    let before = Nanomap_util.Telemetry.value net_evals in
+    let p = f () in
+    (p, Nanomap_util.Telemetry.value net_evals - before)
+  in
+  let serial, e_serial =
+    counted (fun () -> Place.portfolio ~count:6 ~seed:3 ~effort:`Detailed cl)
+  in
+  let p1, e1 = counted (fun () -> run 1) in
+  let p4, e4 = counted (fun () -> run 4) in
   check Alcotest.string "jobs=1 = no pool" (place_fingerprint serial)
     (place_fingerprint p1);
   check Alcotest.string "jobs=4 = jobs=1" (place_fingerprint p1)
-    (place_fingerprint p4)
+    (place_fingerprint p4);
+  check Alcotest.bool "net evals counted" true (e_serial > cl.Cluster.num_smbs);
+  check Alcotest.int "net evals jobs=1 = no pool" e_serial e1;
+  check Alcotest.int "net evals jobs=4 = jobs=1" e1 e4
 
 let test_portfolio_best_of () =
   (* The portfolio winner can never be worse than its own first seed,
@@ -467,6 +481,89 @@ let test_sweep_jobs_equivalent () =
   check Alcotest.string "jobs=1 = serial" serial (pooled 1);
   check Alcotest.string "jobs=4 = serial" serial (pooled 4)
 
+(* --- golden placements: the annealer's exact output on the paper
+   circuits, pinned byte for byte. The cost bookkeeping inside [Place] may
+   change only if every placement here stays the same; refresh with
+   `make regen-golden` after an intentional change. Clusters come from the
+   default flow without its physical half, as [map] would build them. --- *)
+
+module Flow = Nanomap_flow.Flow
+
+let paper_clusters =
+  lazy
+    (List.map
+       (fun (b : Circuits.benchmark) ->
+         let options = { Flow.default_options with Flow.physical = false } in
+         (b.Circuits.name, (Flow.run ~options b.Circuits.design).Flow.cluster))
+       (Circuits.all ()))
+
+let golden_place_line label (p : Place.t) =
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "%s hpwl=%.17g tried=%d accepted=%d xy=" label p.Place.hpwl
+    p.Place.moves_tried p.Place.moves_accepted;
+  Array.iter (fun (x, y) -> Printf.bprintf b "%d,%d;" x y) p.Place.smb_xy;
+  Buffer.contents b
+
+let golden_placements () =
+  let clusters = Lazy.force paper_clusters in
+  let per_design =
+    List.concat_map
+      (fun (name, cl) ->
+        let fast = Place.place ~effort:`Fast cl in
+        let detailed = Place.place ~effort:`Detailed ~init:fast cl in
+        [ golden_place_line (name ^ " fast") fast;
+          golden_place_line (name ^ " detailed") detailed ])
+      clusters
+  in
+  let name, cl = List.hd clusters in
+  let width, height = Place.grid_dims cl in
+  let defects =
+    Defect.random_les ~seed:7 ~fraction:0.05 ~width ~height cl.Cluster.arch
+  in
+  let fast = Place.place ~effort:`Fast cl in
+  let defective = Place.place ~effort:`Fast ~defects cl in
+  per_design
+  @ [ golden_place_line (name ^ " fast joint=false")
+        (Place.place ~effort:`Fast ~joint:false cl);
+      golden_place_line (name ^ " fast defects") defective;
+      golden_place_line (name ^ " detailed defects")
+        (Place.place ~effort:`Detailed ~init:defective ~defects cl);
+      golden_place_line (name ^ " portfolio count=3")
+        (Place.portfolio ~count:3 ~effort:`Detailed ~init:fast cl) ]
+
+let test_golden_placements () =
+  let got = String.concat "\n" (golden_placements ()) ^ "\n" in
+  match Sys.getenv_opt "NANOMAP_REGEN_GOLDEN" with
+  | Some dir ->
+    let path = Filename.concat dir "placements.txt" in
+    let oc = open_out_bin path in
+    output_string oc got;
+    close_out oc;
+    Printf.printf "regenerated %s\n%!" path
+  | None ->
+    let path = Filename.concat "golden" "placements.txt" in
+    if not (Sys.file_exists path) then
+      Alcotest.failf "missing golden file %s — run `make regen-golden`" path;
+    let ic = open_in_bin path in
+    let want = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    let rec first_diff = function
+      | w :: ws, g :: gs -> if w = g then first_diff (ws, gs) else Some (w, g)
+      | w :: _, [] -> Some (w, "")
+      | [], g :: _ -> Some ("", g)
+      | [], [] -> None
+    in
+    match
+      first_diff
+        (String.split_on_char '\n' want, String.split_on_char '\n' got)
+    with
+    | None -> ()
+    | Some (w, g) ->
+      Alcotest.failf
+        "placement differs from golden:\n-%s\n+%s\nrun `make regen-golden` \
+         if the change is intentional"
+        w g
+
 let () =
   Alcotest.run "physical"
     [ ( "cluster",
@@ -513,4 +610,7 @@ let () =
           Alcotest.test_case "race jobs-equivalent" `Quick
             test_race_jobs_equivalent;
           Alcotest.test_case "folding sweep jobs-equivalent" `Quick
-            test_sweep_jobs_equivalent ] ) ]
+            test_sweep_jobs_equivalent ] );
+      ( "golden",
+        [ Alcotest.test_case "paper-circuit placements" `Quick
+            test_golden_placements ] ) ]

@@ -22,6 +22,8 @@ module Rng = Nanomap_util.Rng
 module Flow = Nanomap_flow.Flow
 module Check = Nanomap_flow.Check
 module Diag = Nanomap_util.Diag
+module Place = Nanomap_place.Place
+module Gen_rtl = Nanomap_verify.Gen_rtl
 
 (* ------------------------------------------------ random RTL designs *)
 
@@ -148,6 +150,47 @@ let physical_prop =
           true
         end
         else false)
+
+(* The annealer merges temporal nets that share an endpoint set and keeps
+   its cost incrementally; neither may change the HPWL it reports. The
+   reference here is the plain definition: one bounding box per cluster
+   net, every folding cycle summed. *)
+let reference_hpwl (p : Place.t) (cl : Cluster.t) =
+  List.fold_left
+    (fun acc (n : Cluster.net) ->
+      let xy = function
+        | Cluster.At_smb s -> p.Place.smb_xy.(s)
+        | Cluster.At_pad q -> p.Place.pad_xy.(q)
+      in
+      let pts = List.map xy (n.Cluster.driver :: n.Cluster.sinks) in
+      let span l = List.fold_left max min_int l - List.fold_left min max_int l in
+      acc +. float_of_int (span (List.map fst pts) + span (List.map snd pts)))
+    0.0 cl.Cluster.nets
+
+(* SMBs of two LEs, so even small designs spread over a grid to anneal *)
+let small_smb_arch = { Arch.unbounded_k with Arch.mbs_per_smb = 1; les_per_mb = 2 }
+
+let place_hpwl_prop =
+  QCheck.Test.make ~name:"place: reported HPWL = per-net reference" ~count:12
+    (Gen_rtl.arbitrary { Gen_rtl.default_params with Gen_rtl.steps = 48 })
+    (fun spec ->
+      let design = Gen_rtl.build spec in
+      let arch = small_smb_arch in
+      match Mapper.plan_level (Mapper.prepare design) ~arch ~level:1 with
+      | exception Sched.Infeasible _ -> true
+      | plan ->
+        let cl = Cluster.pack plan ~arch in
+        let fast = Place.place ~effort:`Fast cl in
+        let detailed = Place.place ~effort:`Detailed ~init:fast cl in
+        List.for_all
+          (fun (label, (p : Place.t)) ->
+            let want = reference_hpwl p cl in
+            if Float.equal p.Place.hpwl want && Float.equal (Place.hpwl p cl) want
+            then true
+            else
+              QCheck.Test.fail_reportf "%s: reported %g, recomputed %g, reference %g"
+                label p.Place.hpwl (Place.hpwl p cl) want)
+          [ ("fast", fast); ("detailed", detailed) ])
 
 (* The two router algorithms are different search strategies over the same
    contract: both must terminate with a legal routing of the same nets, and
@@ -410,7 +453,8 @@ let () =
   Alcotest.run "properties"
     [ ("full-chain", [ to_alco full_chain_prop ]);
       ( "physical",
-        [ to_alco physical_prop; to_alco router_differential_prop;
+        [ to_alco physical_prop; to_alco place_hpwl_prop;
+          to_alco router_differential_prop;
           to_alco flow_result_total_prop ] );
       ( "partition",
         [ to_alco partition_invariants_prop ] );
